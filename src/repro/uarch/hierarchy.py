@@ -13,6 +13,17 @@ divided by the global contraction factor while line size, page size,
 associativity, latencies, and clock rate stay fixed.  Miss *counts* then
 come out in real units because each simulated access carries the
 contraction as its weight.
+
+The caches and TLBs decide whole batches at once (:mod:`repro.uarch.lru`),
+so :class:`MemorySystem` queues consecutive ``data_access`` /
+``inst_fetch`` batches and applies them together (:meth:`MemorySystem.sync`)
+once :data:`QUEUE_ACCESSES` accesses are waiting.  The rule that keeps
+every report and trace bit-identical is *sync before any read of
+simulated state*: ``harvest`` syncs, ``PerfContext.events`` syncs (so a
+tracer's span entry and exit snapshots are exact), and code warm-up syncs
+before priming.  A sync replays each queued call's statistics and
+``mem_bytes`` additions in call order with the same float expressions as
+one call at a time.
 """
 
 from __future__ import annotations
@@ -24,10 +35,14 @@ import numpy as np
 
 from repro.uarch.cache import Cache, CacheConfig
 from repro.uarch.events import PerfEvents
+from repro.uarch.lru import run_sums
 from repro.uarch.tlb import Tlb, TlbConfig
 
 KB = 1024
 MB = 1024 * 1024
+
+#: Queued simulated accesses at which a :class:`MemorySystem` syncs.
+QUEUE_ACCESSES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,48 +187,101 @@ class MemorySystem:
         self._code_l2_misses = 0.0
         self._code_l3_accesses = 0.0
         self._code_l3_misses = 0.0
+        self._queue: list = []   # (is_data, addresses, weight), call order
+        self._queued = 0
 
     def data_access(self, addresses, weight: float, is_write: bool = False) -> None:
         """Route a batch of simulated data accesses through the hierarchy.
 
-        Levels are processed batch-at-a-time: the DTLB translates every
-        address, L1D filters the batch, and only the L1 misses (in their
-        original order) proceed to L2, then L3.  Because each level's
-        state depends only on the sequence of accesses *it* sees, this is
-        bit-identical to walking the levels one address at a time.
+        Data accesses walk DTLB -> L1D -> L2 -> (L3); the batch is queued
+        and simulated at the next :meth:`sync`.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size == 0:
-            return
-        self.dtlb.access_many(addresses, weight)
-        lines = addresses >> self._line_bits
-        l1_hits = self.l1d.access_many(lines, weight)
-        to_l2 = lines[~l1_hits]
-        if to_l2.size == 0:
-            return
-        l2_hits = self.l2.access_many(to_l2, weight)
-        llc_misses = to_l2[~l2_hits]
-        if self.l3 is not None and llc_misses.size:
-            l3_hits = self.l3.access_many(llc_misses, weight)
-            llc_misses = llc_misses[~l3_hits]
-        if llc_misses.size:
-            self.events.mem_bytes += (
-                int(llc_misses.size) * weight * self.REAL_LINE_SIZE
-                * self.MEM_TRAFFIC_AMPLIFICATION
-            )
+        self._enqueue(True, addresses, weight)
 
     def inst_fetch(self, addresses, weight: float) -> None:
         """Route a batch of simulated instruction fetches.
 
         ITLB and L1I are simulated statefully; below L1I the statistical
-        code-residency model applies (see CODE_L2_MISS_RATE).
+        code-residency model applies (see CODE_L2_MISS_RATE).  The batch
+        is queued and simulated at the next :meth:`sync`.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
+        self._enqueue(False, addresses, weight)
+
+    def _enqueue(self, is_data: bool, addresses, weight: float) -> None:
+        addresses = np.array(addresses, dtype=np.int64)   # a private copy
         if addresses.size == 0:
             return
-        self.itlb.access_many(addresses, weight)
-        l1_hits = self.l1i.access_many(addresses >> self._line_bits, weight)
-        l1_miss_count = int(addresses.size) - int(l1_hits.sum())
+        self._queue.append((is_data, addresses, weight))
+        self._queued += int(addresses.size)
+        if self._queued >= QUEUE_ACCESSES:
+            self.sync()
+
+    def sync(self) -> None:
+        """Simulate every queued batch.
+
+        Levels are processed batch-at-a-time, one ``access_many`` call per
+        level: the DTLB translates every data address, L1D filters them,
+        and only the L1 misses (in their original order) proceed to L2,
+        then L3; instruction fetches go through ITLB and L1I.  Each
+        level's state depends only on the sequence of accesses *it* sees,
+        and data and instruction streams share no stateful level, so this
+        is bit-identical to walking the calls one address at a time.  The
+        per-call statistics are then replayed in call order.
+        """
+        queue = self._queue
+        if not queue:
+            return
+        self._queue, self._queued = [], 0
+        data = [(addrs, weight) for is_data, addrs, weight in queue if is_data]
+        code = [(addrs, weight) for is_data, addrs, weight in queue
+                if not is_data]
+        llc_misses = iter(self._walk_data(data).tolist()) if data else None
+        l1i_misses = iter(self._walk_code(code).tolist()) if code else None
+        for is_data, _, weight in queue:
+            if is_data:
+                self._charge_data(next(llc_misses), weight)
+            else:
+                self._charge_code(next(l1i_misses), weight)
+
+    def _walk_data(self, calls: list) -> np.ndarray:
+        """Run queued data batches through the levels; return each
+        call's count of last-level misses."""
+        weights = [weight for _, weight in calls]
+        runs = np.array([addrs.size for addrs, _ in calls])
+        addresses = np.concatenate([addrs for addrs, _ in calls])
+        self.dtlb.access_many(addresses, weights, runs)
+        lines = addresses >> self._line_bits
+        levels = (self.l1d, self.l2) + (
+            (self.l3,) if self.l3 is not None else ())
+        for level in levels:
+            if not lines.size:
+                break
+            misses = ~level.access_many(lines, weights, runs)
+            lines = lines[misses]
+            runs = run_sums(misses, runs)
+        return runs
+
+    def _walk_code(self, calls: list) -> np.ndarray:
+        """Run queued fetch batches through ITLB and L1I; return each
+        call's count of L1I misses."""
+        weights = [weight for _, weight in calls]
+        runs = np.array([addrs.size for addrs, _ in calls])
+        addresses = np.concatenate([addrs for addrs, _ in calls])
+        self.itlb.access_many(addresses, weights, runs)
+        hits = self.l1i.access_many(addresses >> self._line_bits, weights,
+                                    runs)
+        return run_sums(~hits, runs)
+
+    def _charge_data(self, llc_misses: int, weight: float) -> None:
+        """DRAM traffic of one data call's last-level misses."""
+        if llc_misses:
+            self.events.mem_bytes += (
+                llc_misses * weight * self.REAL_LINE_SIZE
+                * self.MEM_TRAFFIC_AMPLIFICATION
+            )
+
+    def _charge_code(self, l1_miss_count: int, weight: float) -> None:
+        """One fetch call's statistical L2/L3 traffic below L1I."""
         if not l1_miss_count:
             return
         l2_in = l1_miss_count * weight
@@ -231,7 +299,8 @@ class MemorySystem:
         )
 
     def harvest(self) -> None:
-        """Copy cache/TLB statistics into the shared event record."""
+        """Sync, then copy cache/TLB statistics into the event record."""
+        self.sync()
         ev = self.events
         ev.l1i_accesses = self.l1i.accesses
         ev.l1i_misses = self.l1i.misses

@@ -153,16 +153,26 @@ class PerfContext(NullPerfContext):
         self.contraction = contraction
         self.ifetch_contraction = ifetch_contraction
         self.cap = cap
-        self.events = PerfEvents()
+        self._events = PerfEvents()
         self.rng = np.random.default_rng(seed)
         self.space = AddressSpace(contraction=contraction)
         self.memsys: Optional[MemorySystem] = None
         if machine is not None:
-            self.memsys = MemorySystem(machine.contracted(contraction), self.events)
+            self.memsys = MemorySystem(machine.contracted(contraction),
+                                       self._events)
         self._profile_stack: list = [DEFAULT_PROFILE]
         self._code_cursors: dict = {}
         self._warmed_profiles: set = set()
         self._pending_instructions = 0.0
+
+    @property
+    def events(self) -> PerfEvents:
+        """The run's event record, with every queued simulator batch
+        applied -- reading it is how a tracer's span snapshots (or any
+        other observer) see exact counts mid-run."""
+        if self.memsys is not None:
+            self.memsys.sync()
+        return self._events
 
     # -- code profile scoping ------------------------------------------------
 
@@ -190,24 +200,24 @@ class PerfContext(NullPerfContext):
     def int_ops(self, n: float) -> None:
         if n <= 0:
             return
-        self.events.int_ops += n
+        self._events.int_ops += n
         self._count_compute(n)
 
     def fp_ops(self, n: float) -> None:
         if n <= 0:
             return
-        self.events.fp_ops += n
+        self._events.fp_ops += n
         self._count_compute(n)
 
     def branch_ops(self, n: float) -> None:
         if n <= 0:
             return
-        self.events.branches += n
+        self._events.branches += n
         self._count_compute(n)
 
     def _count_compute(self, n: float) -> None:
-        self.events.loads += self.IMPLICIT_LOAD_FACTOR * n
-        self.events.stores += self.IMPLICIT_STORE_FACTOR * n
+        self._events.loads += self.IMPLICIT_LOAD_FACTOR * n
+        self._events.stores += self.IMPLICIT_STORE_FACTOR * n
         self._note_instructions(
             (1.0 + self.IMPLICIT_LOAD_FACTOR + self.IMPLICIT_STORE_FACTOR) * n
         )
@@ -271,7 +281,7 @@ class PerfContext(NullPerfContext):
             from repro.uarch.hierarchy import XEON_E5645
 
             machine = XEON_E5645
-        return cpu.finalize(self.events, machine, cores_used=cores_used, metadata=metadata)
+        return cpu.finalize(self._events, machine, cores_used=cores_used, metadata=metadata)
 
     # -- internals -------------------------------------------------------------
 
@@ -287,9 +297,9 @@ class PerfContext(NullPerfContext):
 
     def _count_data_instr(self, count: float, is_write: bool) -> None:
         if is_write:
-            self.events.stores += count
+            self._events.stores += count
         else:
-            self.events.loads += count
+            self._events.loads += count
         self._note_instructions(count)
 
     def _flush_ifetch(self) -> None:
@@ -328,6 +338,7 @@ class PerfContext(NullPerfContext):
         memsys = self.memsys
         if memsys is None:
             return
+        memsys.sync()   # earlier fetches must reach L1I/ITLB first
         line = memsys.machine.l1i.line_size
         hot_size = max(line, profile.hot_bytes // self.contraction)
         hot_offsets = np.arange(0, hot_size, line, dtype=np.int64)

@@ -3,14 +3,19 @@
 Drives the ITLB/DTLB MPKI results of the paper's Figure 6-2.  Pages are
 fixed-size (4 KB by default, matching the testbed's Linux configuration);
 an access translates a byte address to a page number and looks it up.
+
+A fully-associative TLB is a one-set cache over page numbers, so it runs
+on the same exact vectorized LRU kernel as the caches
+(:mod:`repro.uarch.lru`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.uarch.lru import LruSets, LruStats
 
 
 @dataclass(frozen=True)
@@ -38,70 +43,30 @@ class TlbConfig:
         )
 
 
-class Tlb:
+class Tlb(LruStats):
     """Fully-associative LRU TLB."""
 
     def __init__(self, config: TlbConfig):
+        super().__init__()
         self.config = config
         self._page_bits = config.page_size.bit_length() - 1
-        self._entries = OrderedDict()
-        self.accesses = 0.0
-        self.misses = 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses <= 0:
-            return 0.0
-        return self.misses / self.accesses
+        self._lru = LruSets(1, config.entries)
 
     def access(self, addr: int, weight: float = 1.0) -> bool:
         """Translate one byte address; return True on TLB hit."""
-        page = addr >> self._page_bits
-        self.accesses += weight
-        if page in self._entries:
-            self._entries.move_to_end(page)
-            return True
-        self.misses += weight
-        self._entries[page] = True
-        if len(self._entries) > self.config.entries:
-            self._entries.popitem(last=False)
-        return False
+        return bool(self.access_many([addr], weight)[0])
 
-    def access_many(self, addrs, weights=1.0) -> np.ndarray:
-        """Translate a batch of byte addresses; return a boolean hit array.
+    def access_many(self, addrs, weights=1.0, runs=None) -> np.ndarray:
+        """Translate a batch of byte addresses in order; return the hit
+        array.
 
-        Equivalent to calling :meth:`access` once per element of ``addrs``
-        in order; the page-number shift is vectorized and the LRU loop is
-        run with all lookups bound locally.  ``weights`` is one scalar for
-        every access or an array of per-access weights.
+        Equivalent to calling :meth:`access` once per element of
+        ``addrs``.  ``weights`` and ``runs`` are as for
+        :meth:`repro.uarch.cache.Cache.access_many`.
         """
         pages = np.asarray(addrs, dtype=np.int64) >> self._page_bits
-        n = int(pages.size)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        entries = self._entries
-        capacity = self.config.entries
-        miss_idx = []
-        append_miss = miss_idx.append
-        for i, page in enumerate(pages.tolist()):
-            if page in entries:
-                entries.move_to_end(page)
-            else:
-                append_miss(i)
-                entries[page] = True
-                if len(entries) > capacity:
-                    entries.popitem(last=False)
-        hits = np.ones(n, dtype=bool)
-        if miss_idx:
-            hits[miss_idx] = False
-        if np.ndim(weights) == 0:
-            self.accesses += float(weights) * n
-            self.misses += float(weights) * len(miss_idx)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            self.accesses += float(weights.sum())
-            if miss_idx:
-                self.misses += float(weights[~hits].sum())
+        hits = self._lru.access(pages)
+        self._count(hits, weights, runs)
         return hits
 
     def prime_many(self, addrs) -> None:
@@ -109,24 +74,17 @@ class Tlb:
 
         Equivalent to calling :meth:`prime` once per element in order.
         """
-        entries = self._entries
-        capacity = self.config.entries
-        pages = np.asarray(addrs, dtype=np.int64) >> self._page_bits
-        for page in pages.tolist():
-            entries[page] = True
-            if len(entries) > capacity:
-                entries.popitem(last=False)
+        self._lru.prime(np.asarray(addrs, dtype=np.int64) >> self._page_bits)
 
     def prime(self, addr: int) -> None:
-        """Install a translation without counting statistics."""
-        self._entries[addr >> self._page_bits] = True
-        if len(self._entries) > self.config.entries:
-            self._entries.popitem(last=False)
+        """Install a translation without counting statistics.  A page
+        already resident keeps its LRU position."""
+        self.prime_many([addr])
 
-    def reset_stats(self) -> None:
-        self.accesses = 0.0
-        self.misses = 0.0
+    def lru_order(self) -> list:
+        """Resident page numbers, least recently used first."""
+        return self._lru.lines()
 
     def flush(self) -> None:
-        self._entries.clear()
+        self._lru.clear()
         self.reset_stats()

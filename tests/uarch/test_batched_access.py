@@ -1,15 +1,18 @@
-"""Batched simulator paths are equivalent to their scalar loops.
+"""Batched simulator paths are equivalent to the scalar reference loops.
 
-``access_many`` / ``prime_many`` exist purely for speed: the replacement
-state they leave behind (including LRU *order*) and the hit/miss pattern
-they report must match a loop of single calls element for element.
-Statistics are compared with a tight tolerance because the batched path
-multiplies where the loop repeatedly adds.
+``access_many`` / ``prime_many`` decide whole batches with the vectorized
+LRU kernel: the replacement state they leave behind (including LRU
+*order*) and the hit/miss pattern they report must match the
+``OrderedDict`` reference (``tests/oracles/lru.py``) driven one access
+at a time, element for element.  Statistics are compared with a tight
+tolerance because the batched path multiplies where the loop repeatedly
+adds.
 """
 
 import numpy as np
 import pytest
 
+from oracles.lru import RefCache, RefMemorySystem, RefTlb
 from repro.uarch.cache import Cache, CacheConfig
 from repro.uarch.events import PerfEvents
 from repro.uarch.hierarchy import MemorySystem, XEON_E5645
@@ -26,13 +29,13 @@ def _addresses(n=4000, span=512, seed=1234):
 
 def _lru_state(cache):
     """Tag contents of every set in LRU order (oldest first)."""
-    return [list(s.keys()) for s in cache._sets]
+    return [cache.lru_order(i) for i in range(cache.config.num_sets)]
 
 
 class TestCacheAccessMany:
     def test_matches_scalar_loop(self):
         addrs = _addresses()
-        looped, batched = Cache(CONFIG), Cache(CONFIG)
+        looped, batched = RefCache(CONFIG), Cache(CONFIG)
         loop_hits = np.array([looped.access(a, 2.0) for a in addrs.tolist()])
         batch_hits = batched.access_many(addrs, 2.0)
         assert np.array_equal(loop_hits, batch_hits)
@@ -43,7 +46,7 @@ class TestCacheAccessMany:
     def test_weights_array(self):
         addrs = _addresses(n=500)
         weights = np.random.default_rng(7).random(addrs.size) * 10
-        looped, batched = Cache(CONFIG), Cache(CONFIG)
+        looped, batched = RefCache(CONFIG), Cache(CONFIG)
         for a, w in zip(addrs.tolist(), weights.tolist()):
             looped.access(a, w)
         batched.access_many(addrs, weights)
@@ -53,7 +56,7 @@ class TestCacheAccessMany:
 
     def test_consecutive_batches_continue_the_state(self):
         addrs = _addresses()
-        looped, batched = Cache(CONFIG), Cache(CONFIG)
+        looped, batched = RefCache(CONFIG), Cache(CONFIG)
         for a in addrs.tolist():
             looped.access(a)
         first, second = addrs[:1500], addrs[1500:]
@@ -70,9 +73,9 @@ class TestCacheAccessMany:
 
     def test_prime_many_matches_scalar_loop(self):
         addrs = _addresses(n=300, span=200)
-        looped, batched = Cache(CONFIG), Cache(CONFIG)
+        looped, batched = RefCache(CONFIG), Cache(CONFIG)
         for a in addrs.tolist():
-            looped.prime(a)
+            looped.prime_many([a])
         batched.prime_many(addrs)
         assert _lru_state(looped) == _lru_state(batched)
         assert batched.accesses == 0.0 and batched.misses == 0.0
@@ -83,25 +86,26 @@ class TestTlbAccessMany:
 
     def test_matches_scalar_loop(self):
         addrs = _addresses(span=40) * 4096 + 17
-        looped, batched = Tlb(self.CONFIG), Tlb(self.CONFIG)
+        looped, batched = RefTlb(self.CONFIG), Tlb(self.CONFIG)
         loop_hits = np.array([looped.access(a, 3.0) for a in addrs.tolist()])
         batch_hits = batched.access_many(addrs, 3.0)
         assert np.array_equal(loop_hits, batch_hits)
-        assert list(looped._entries) == list(batched._entries)
+        assert looped.lru_order() == batched.lru_order()
         assert batched.accesses == pytest.approx(looped.accesses, rel=1e-12)
         assert batched.misses == pytest.approx(looped.misses, rel=1e-12)
 
     def test_prime_many_matches_scalar_loop(self):
         addrs = _addresses(n=100, span=30) * 4096
-        looped, batched = Tlb(self.CONFIG), Tlb(self.CONFIG)
+        looped, batched = RefTlb(self.CONFIG), Tlb(self.CONFIG)
         for a in addrs.tolist():
-            looped.prime(a)
+            looped.prime_many([a])
         batched.prime_many(addrs)
-        assert list(looped._entries) == list(batched._entries)
+        assert looped.lru_order() == batched.lru_order()
 
 
 class TestMemorySystemBatched:
-    """The level-batched hierarchy walk equals the per-address walk."""
+    """The queued, level-batched hierarchy walk equals the per-address
+    walk through the reference levels."""
 
     @staticmethod
     def _reference_data_access(memsys, addresses, weight):
@@ -130,7 +134,7 @@ class TestMemorySystemBatched:
         batches = [rng.integers(0, 1 << 22, size=3000, dtype=np.int64)
                    for _ in range(3)]
 
-        reference = MemorySystem(machine, PerfEvents())
+        reference = RefMemorySystem(machine, PerfEvents())
         batched = MemorySystem(machine, PerfEvents())
         for batch in batches:
             self._reference_data_access(reference, batch, weight=8.0)
